@@ -4,16 +4,13 @@
 //! automatically creates and evaluates design variants for an HPC
 //! kernel". This crate drives it:
 //!
-//! * [`search()`][search::search] — the branch-and-bound engine: a lazy
-//!   variant generator feeding work-stealing worker deques, with an
-//!   admissible analytic bound pruning variants that cannot fit the
-//!   device or beat the incumbent before the full estimate runs
-//!   (bit-identical leaderboards to exhaustive mode);
-//! * [`explore()`][explore::explore] — the exhaustive legacy engine:
-//!   generate every legal variant of a kernel by type transformation,
-//!   lower each to TyTra-IR and cost it, in parallel across worker
-//!   threads, each holding its own warm `EstimatorSession`
-//!   ([`explore_with_stats`] also reports the summed memo hit rates);
+//! * [`search()`][search::search] — the one design-space engine: a lazy
+//!   variant generator feeding work-stealing worker deques, each worker
+//!   holding its own warm `EstimatorSession`. In
+//!   [`SearchMode::Pruned`] an admissible analytic bound prunes variants
+//!   that cannot fit the device or beat the incumbent before the full
+//!   estimate runs; [`SearchMode::Exhaustive`] costs every legal variant
+//!   and yields the same leaderboard bit for bit;
 //! * [`select_best`] — the guided-optimisation choice: fastest EKIT
 //!   among variants that fit the device and saturate no illegal
 //!   constraint;
@@ -22,20 +19,18 @@
 //! * [`tune`] — the feedback loop the paper's bottleneck output enables:
 //!   repeatedly relax the binding wall until no move helps.
 
-pub mod explore;
 pub mod report;
 pub mod roofline;
 pub mod search;
 pub mod tuning;
 
-pub use explore::{
-    explore, explore_with_metrics, explore_with_stats, select_best, EvaluatedVariant,
-    ExplorationConfig,
-};
 pub use report::{
     lane_sweep, lane_sweep_session, render_latency_stats_line, render_prefilter_stats_line,
     render_search_leaderboard, render_search_stats_line, render_stats_line, LaneSweepRow,
 };
 pub use roofline::{roofline, RooflinePoint};
-pub use search::{search, InvalidVariant, SearchConfig, SearchMode, SearchOutcome, SearchStats};
+pub use search::{
+    search, select_best, EvaluatedVariant, ExplorationConfig, InvalidVariant, SearchConfig,
+    SearchMode, SearchOutcome, SearchStats,
+};
 pub use tuning::{tune, tune_session, TuningStep};

@@ -1,8 +1,8 @@
 //! Branch-and-bound design-space search with work stealing.
 //!
-//! [`explore()`][crate::explore::explore] materialises the whole variant
-//! cross-product and pays the full 8-pass estimate for every point.
-//! [`search()`] replaces that with the Fig-15 insight the paper builds
+//! Costing every point of the variant cross-product pays the full
+//! 8-pass estimate per point ([`SearchMode::Exhaustive`]). [`search()`]
+//! avoids most of that with the Fig-15 insight the paper builds
 //! towards: the wall terms of Eqs 1–3 (bandwidth, overheads, the
 //! clock-ceiling compute floor) plus the exact memoized resource sums
 //! are enough to *prove* most variants out of contention before any
@@ -49,13 +49,63 @@ use std::time::Instant;
 use tytra_analyze::cost_class_key_design;
 use tytra_cost::{CostReport, EstimatorSession, SessionStats};
 use tytra_device::TargetDevice;
+use tytra_ir::MemForm;
 use tytra_kernels::EvalKernel;
 use tytra_trace::metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
 use tytra_trace::recorder;
 use tytra_trace::{self as trace};
 use tytra_transform::{IndexedVariant, Variant, VariantFactory, VariantIter};
 
-use crate::explore::{EvaluatedVariant, ExplorationConfig};
+/// Variants handed to a worker per generator refill.
+const CHUNK: usize = 4;
+
+/// What to sweep.
+#[derive(Debug, Clone)]
+pub struct ExplorationConfig {
+    /// Lane counts to try (filtered for reshape legality).
+    pub lanes: Vec<u64>,
+    /// Vectorization degrees to try.
+    pub vects: Vec<u32>,
+    /// Memory-execution forms to try.
+    pub forms: Vec<MemForm>,
+    /// Include `seq` inner maps (off by default: HPC kernels pipeline).
+    pub include_seq: bool,
+    /// Worker threads (0 = available parallelism).
+    pub workers: usize,
+}
+
+impl Default for ExplorationConfig {
+    fn default() -> ExplorationConfig {
+        ExplorationConfig {
+            lanes: vec![1, 2, 4, 8, 16, 32],
+            vects: vec![1, 2],
+            forms: vec![MemForm::A, MemForm::B],
+            include_seq: false,
+            workers: 0,
+        }
+    }
+}
+
+/// One costed point of the design space.
+#[derive(Debug, Clone)]
+pub struct EvaluatedVariant {
+    /// The variant.
+    pub variant: Variant,
+    /// The cost model's full report.
+    pub report: CostReport,
+}
+
+impl EvaluatedVariant {
+    /// Valid = fits the device.
+    pub fn is_valid(&self) -> bool {
+        self.report.fits
+    }
+}
+
+/// The guided-optimisation selection: fastest valid variant.
+pub fn select_best(evaluated: &[EvaluatedVariant]) -> Option<&EvaluatedVariant> {
+    evaluated.iter().find(|e| e.is_valid())
+}
 
 /// Whether the search may prune on analytic bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +121,7 @@ pub enum SearchMode {
 /// Search configuration: the space to sweep plus search-specific knobs.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
-    /// The design space and worker count (as for
-    /// [`explore()`][crate::explore::explore]).
+    /// The design space and worker count.
     pub space: ExplorationConfig,
     /// Prune on bounds or estimate everything.
     pub mode: SearchMode,
@@ -80,8 +129,6 @@ pub struct SearchConfig {
     /// variants (the incumbent threshold is the K-th best, so larger
     /// boards prune less).
     pub top_k: usize,
-    /// Variants handed to a worker per generator refill.
-    pub chunk: usize,
     /// Test/fuzz hook: a predicate selecting variants whose estimate
     /// must fault (the worker panics inside its catch region). `None` in
     /// production. A plain `fn` pointer keeps the config `Debug + Clone`.
@@ -99,14 +146,7 @@ pub struct SearchConfig {
 impl SearchConfig {
     /// Pruned search over `space` with the default board size.
     pub fn pruned(space: ExplorationConfig) -> SearchConfig {
-        SearchConfig {
-            space,
-            mode: SearchMode::Pruned,
-            top_k: 10,
-            chunk: 4,
-            fault_inject: None,
-            live: None,
-        }
+        SearchConfig { space, mode: SearchMode::Pruned, top_k: 10, fault_inject: None, live: None }
     }
 
     /// Exhaustive search over `space` (the `--exhaustive` escape hatch).
@@ -297,15 +337,15 @@ impl ClassCache {
 }
 
 /// The shared lazy generator: workers refill their deques from it in
-/// chunks under one short-lived lock.
+/// chunks of [`CHUNK`] under one short-lived lock.
 struct Dispenser {
     gen: Mutex<VariantIter>,
 }
 
 impl Dispenser {
-    fn refill(&self, n: usize) -> Vec<IndexedVariant> {
+    fn refill(&self) -> Vec<IndexedVariant> {
         let mut gen = self.gen.lock().unwrap_or_else(|e| e.into_inner());
-        gen.by_ref().take(n.max(1)).collect()
+        gen.by_ref().take(CHUNK).collect()
     }
 }
 
@@ -436,10 +476,7 @@ fn process_item(
             report.params.form = design.form();
             if report.fits {
                 incumbent.record(report.throughput.ekit, item.index);
-                out.valid.push((
-                    item.index,
-                    EvaluatedVariant { variant: item.variant, report, reconfig: None },
-                ));
+                out.valid.push((item.index, EvaluatedVariant { variant: item.variant, report }));
             } else {
                 out.invalid.push(InvalidVariant { index: item.index, variant: item.variant });
             }
@@ -521,8 +558,7 @@ fn process_item(
     }
     if report.fits {
         incumbent.record(report.throughput.ekit, item.index);
-        out.valid
-            .push((item.index, EvaluatedVariant { variant: item.variant, report, reconfig: None }));
+        out.valid.push((item.index, EvaluatedVariant { variant: item.variant, report }));
     } else {
         // Exhaustive mode discovers infeasibility the expensive way; the
         // verdict is the same fits_within the bound pass evaluates.
@@ -563,7 +599,7 @@ fn worker_loop(
         // Refills are the loop's natural coarse tick: refresh the live
         // throughput gauge here rather than per point.
         obs.points_per_sec.set(rate(processed));
-        let chunk = dispenser.refill(cfg.chunk);
+        let chunk = dispenser.refill();
         if !chunk.is_empty() {
             out.stats.generated += chunk.len() as u64;
             let mut items = chunk.into_iter();
@@ -657,7 +693,7 @@ pub fn search(kernel: &dyn EvalKernel, dev: &TargetDevice, cfg: &SearchConfig) -
     // Prove the filtered space non-empty before spawning anything: a
     // space whose every candidate is an illegal reshape short-circuits
     // to an empty outcome with no worker threads and no sessions.
-    let first_chunk = dispenser.refill(cfg.chunk);
+    let first_chunk = dispenser.refill();
     if first_chunk.is_empty() {
         return SearchOutcome {
             leaderboard: Vec::new(),
@@ -701,7 +737,7 @@ pub fn search(kernel: &dyn EvalKernel, dev: &TargetDevice, cfg: &SearchConfig) -
             queues[0].push(item);
         }
         for queue in &queues[1..] {
-            let chunk = dispenser.refill(cfg.chunk);
+            let chunk = dispenser.refill();
             preloaded += chunk.len() as u64;
             for item in chunk {
                 queue.push(item);
@@ -765,9 +801,10 @@ pub fn search(kernel: &dyn EvalKernel, dev: &TargetDevice, cfg: &SearchConfig) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tytra_cost::estimate;
     use tytra_device::{eval_small, stratix_v_gsd8};
-    use tytra_ir::MemForm;
     use tytra_kernels::Sor;
+    use tytra_transform::{enumerate_variants, InnerKind};
 
     fn space() -> ExplorationConfig {
         ExplorationConfig {
@@ -777,6 +814,10 @@ mod tests {
             include_seq: false,
             workers: 2,
         }
+    }
+
+    fn small_space() -> ExplorationConfig {
+        ExplorationConfig { lanes: vec![1, 2, 4], vects: vec![1], ..space() }
     }
 
     fn fingerprint(o: &SearchOutcome) -> (Vec<(String, u64)>, Vec<String>) {
@@ -809,38 +850,49 @@ mod tests {
     fn leaderboard_is_worker_count_invariant() {
         let sor = Sor::cubic(16, 10);
         let dev = eval_small();
-        let runs: Vec<_> = [1usize, 2, 4, 7]
-            .iter()
-            .map(|&w| {
-                let cfg = SearchConfig::pruned(ExplorationConfig { workers: w, ..space() });
-                fingerprint(&search(&sor, &dev, &cfg))
-            })
-            .collect();
-        for r in &runs[1..] {
-            assert_eq!(&runs[0], r);
+        for mode in [SearchConfig::pruned, SearchConfig::exhaustive] {
+            let runs: Vec<_> = [1usize, 2, 4, 7]
+                .iter()
+                .map(|&w| {
+                    let cfg = mode(ExplorationConfig { workers: w, ..space() });
+                    fingerprint(&search(&sor, &dev, &cfg))
+                })
+                .collect();
+            for r in &runs[1..] {
+                assert_eq!(&runs[0], r);
+            }
         }
     }
 
     #[test]
-    fn matches_explore_ranking_on_valid_variants() {
-        // The search leaderboard must agree with the legacy engine's
-        // ranking of device-fitting variants (bit-equal EKITs).
+    fn exhaustive_ranks_every_legal_variant_like_the_tree_estimator() {
+        // The independent reference: lower each legal variant to a tree
+        // module and cost it with the one-shot tree estimator. Exhaustive
+        // search must rank the fitting variants identically (bit-equal
+        // EKITs, ties in generation order) and report exactly the rest
+        // as invalid.
         let sor = Sor::cubic(16, 10);
-        let dev = stratix_v_gsd8();
-        let outcome = search(&sor, &dev, &SearchConfig::exhaustive(space()));
-        let legacy = crate::explore::explore(&sor, &dev, &space());
-        let legacy_valid: Vec<(String, u64)> = legacy
-            .iter()
-            .filter(|e| e.is_valid())
-            .take(outcome.leaderboard.len())
-            .map(|e| (e.variant.tag(), e.report.throughput.ekit.to_bits()))
-            .collect();
-        let ours: Vec<(String, u64)> = outcome
-            .leaderboard
-            .iter()
-            .map(|e| (e.variant.tag(), e.report.throughput.ekit.to_bits()))
-            .collect();
-        assert_eq!(ours, legacy_valid);
+        for (dev, sp, legal) in [(stratix_v_gsd8(), space(), 24), (eval_small(), small_space(), 6)]
+        {
+            let variants =
+                enumerate_variants(sor.geometry().size(), &sp.lanes, &sp.vects, &sp.forms);
+            let (mut fits, mut unfit) = (Vec::new(), Vec::new());
+            for v in variants.iter().filter(|v| v.inner == InnerKind::Pipe) {
+                let report = estimate(&sor.lower_variant(v).unwrap(), &dev).unwrap();
+                if report.fits {
+                    fits.push((v.tag(), report.throughput.ekit.to_bits()));
+                } else {
+                    unfit.push(v.tag());
+                }
+            }
+            // A stable sort keeps generation order among equal EKITs.
+            fits.sort_by(|a, b| f64::from_bits(b.1).total_cmp(&f64::from_bits(a.1)));
+
+            let cfg = SearchConfig { top_k: legal, ..SearchConfig::exhaustive(sp) };
+            let outcome = search(&sor, &dev, &cfg);
+            assert_eq!(outcome.leaderboard.len() + outcome.invalid.len(), legal);
+            assert_eq!(fingerprint(&outcome), (fits, unfit));
+        }
     }
 
     #[test]
@@ -981,6 +1033,20 @@ mod tests {
         // via the per-worker registries.
         let local = search(&sor, &dev, &SearchConfig::pruned(space()));
         assert_eq!(local.metrics.counter("dse.points"), local.stats.generated);
+
+        // `--stats` and `--metrics` read the same registry counters, so
+        // either way the merged snapshot reproduces the summed session
+        // stats.
+        for o in [&outcome, &local] {
+            let (stats, m) = (o.session, &o.metrics);
+            assert!(stats.hit_rate() > 0.5, "hit rate {:.3} ({stats:?})", stats.hit_rate());
+            assert_eq!(stats.hits, m.counter("session.memo.hits") + m.counter("curves.hits"));
+            assert_eq!(stats.misses, m.counter("session.memo.misses") + m.counter("curves.misses"));
+            assert_eq!(stats.invalidations, m.counter("session.invalidations"));
+            let table = m.render_table();
+            assert!(table.contains("session.memo.hits"), "{table}");
+            assert!(table.contains("estimator.estimate_ns"), "{table}");
+        }
     }
 
     #[test]

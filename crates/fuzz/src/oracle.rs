@@ -10,8 +10,7 @@
 use crate::gen::TirlGen;
 use tytra_cost::EstimatorSession;
 use tytra_device::TargetDevice;
-use tytra_dse::explore::ExplorationConfig;
-use tytra_dse::{search, SearchConfig, SearchOutcome};
+use tytra_dse::{search, ExplorationConfig, SearchConfig, SearchOutcome};
 use tytra_ir::{ArenaModule, IrModule, MemForm};
 use tytra_kernels::{EvalKernel, Sor, StreamTriad};
 use tytra_trace::json::{self, Json};

@@ -1,9 +1,8 @@
-//! Machine-readable output: a hand-rolled JSON emitter and a minimal
-//! parser.
+//! Machine-readable output: a hand-rolled JSON emitter.
 //!
-//! The workspace is hermetic (no serde), so both directions are written
-//! out longhand. The emitter produces the stable schema consumed by
-//! editor integrations and CI:
+//! The workspace is hermetic (no serde), so the emitter is written out
+//! longhand. It produces the stable schema consumed by editor
+//! integrations and CI:
 //!
 //! ```json
 //! {
@@ -20,13 +19,12 @@
 //! }
 //! ```
 //!
-//! `line`/`col` and `hint` are `null` when absent. The parser understands
-//! exactly the JSON subset the emitter produces (objects, arrays,
-//! strings, numbers, booleans, null) — enough for round-trip tests and
-//! for downstream tools written against this workspace.
+//! `line`/`col` and `hint` are `null` when absent. The output parses with
+//! [`tytra_trace::json::parse`].
 
 use crate::LintReport;
 use std::fmt::Write as _;
+use tytra_trace::json::escape;
 
 /// Render `report` as a single JSON object (trailing newline included).
 pub fn render_json(report: &LintReport, path: &str) -> String {
@@ -68,278 +66,11 @@ pub fn render_json(report: &LintReport, path: &str) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A parsed JSON value (the subset the emitter produces).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (stored as `f64`; the emitter only writes integers).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, key order preserved.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Errors carry a byte offset and a short reason.
-pub fn parse(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b" \t\n\r".contains(b) {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(cp).ok_or("bad \\u codepoint")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the emitter writes UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number at byte {start}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tytra_ir::{Diagnostic, Span};
-
-    #[test]
-    fn parser_handles_emitter_subset() {
-        let v = parse(r#"{ "a": [1, -2.5, "x\n\"y\"", true, false, null], "b": {} }"#).unwrap();
-        let arr = v.get("a").unwrap().as_array().unwrap();
-        assert_eq!(arr[0].as_f64(), Some(1.0));
-        assert_eq!(arr[1].as_f64(), Some(-2.5));
-        assert_eq!(arr[2].as_str(), Some("x\n\"y\""));
-        assert_eq!(arr[3].as_bool(), Some(true));
-        assert_eq!(arr[5], Json::Null);
-        assert_eq!(v.get("b"), Some(&Json::Obj(vec![])));
-    }
-
-    #[test]
-    fn parser_rejects_trailing_garbage() {
-        assert!(parse("{} x").is_err());
-        assert!(parse("[1, ]").is_err());
-    }
+    use tytra_trace::json::{parse, Json};
 
     #[test]
     fn emitted_report_round_trips() {
@@ -358,13 +89,13 @@ mod tests {
         let v = parse(&text).unwrap();
         assert_eq!(v.get("file").unwrap().as_str(), Some("fix.tirl"));
         assert_eq!(v.get("module").unwrap().as_str(), Some("m\"q"));
-        assert_eq!(v.get("errors").unwrap().as_f64(), Some(1.0));
-        assert_eq!(v.get("warnings").unwrap().as_f64(), Some(1.0));
-        let diags = v.get("diagnostics").unwrap().as_array().unwrap();
+        assert_eq!(v.get("errors").unwrap().as_num(), Some(1.0));
+        assert_eq!(v.get("warnings").unwrap().as_num(), Some(1.0));
+        let diags = v.get("diagnostics").unwrap().as_arr().unwrap();
         assert_eq!(diags.len(), 2);
         assert_eq!(diags[0].get("code").unwrap().as_str(), Some("TL1003"));
         assert_eq!(diags[0].get("severity").unwrap().as_str(), Some("error"));
-        assert_eq!(diags[0].get("line").unwrap().as_f64(), Some(9.0));
+        assert_eq!(diags[0].get("line").unwrap().as_num(), Some(9.0));
         assert_eq!(diags[0].get("hint").unwrap().as_str(), Some("check the linearization"));
         assert_eq!(diags[1].get("line"), Some(&Json::Null));
         assert_eq!(diags[1].get("hint"), Some(&Json::Null));

@@ -369,12 +369,13 @@ mod tests {
 
     #[test]
     fn parse_handles_nested_documents() {
-        let doc = r#"{"a": [1, -2.5, 1e3, true, null], "b": {"c": "\u0041\ud834\udd1e"}}"#;
+        let doc = r#"{"a": [1, -2.5, 1e3, true, null], "b": {"c": "\u0041\ud834\udd1e"}, "d": {}}"#;
         let v = parse(doc).unwrap();
         let arr = v.get("a").unwrap().as_arr().unwrap();
         assert_eq!(arr.len(), 5);
         assert_eq!(arr[2].as_num(), Some(1000.0));
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("A𝄞"));
+        assert_eq!(v.get("d"), Some(&Json::Obj(BTreeMap::new())));
     }
 
     #[test]
@@ -383,6 +384,7 @@ mod tests {
         {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+        assert!(parse("[1, ]").is_err(), "accepted a trailing comma");
     }
 
     #[test]
@@ -395,6 +397,7 @@ mod tests {
         // framing is one document per line, enforced by the caller).
         assert!(parse("1 2").is_err());
         assert!(parse("[1][2]").is_err());
+        assert!(parse("{} x").is_err());
     }
 
     #[test]

@@ -45,8 +45,8 @@ impl Variant {
     }
 
     /// The tag formatted into a stack buffer — no heap allocation. The
-    /// DSE hot path (per-variant trace fields, leaderboard tie-break
-    /// comparisons) goes through this instead of [`tag`][Variant::tag].
+    /// DSE hot path (per-variant design names) goes through this instead
+    /// of [`tag`][Variant::tag].
     pub fn tag_buf(&self) -> TagBuf {
         let inner = match self.inner {
             InnerKind::Pipe => "pipe",
@@ -64,12 +64,6 @@ impl Variant {
     /// most, no intermediate allocation).
     pub fn write_tag(&self, out: &mut String) {
         out.push_str(self.tag_buf().as_str());
-    }
-
-    /// Compare two variants by their tag strings (byte order, exactly
-    /// as comparing [`tag`][Variant::tag] results) without allocating.
-    pub fn tag_cmp(&self, other: &Variant) -> std::cmp::Ordering {
-        self.tag_buf().as_str().cmp(other.tag_buf().as_str())
     }
 
     /// Is the reshape legal for this NDRange (order/size preservation
@@ -202,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn tag_buf_matches_tag_and_orders_identically() {
+    fn tag_buf_matches_tag() {
         let vs = enumerate_variants(
             1 << 12,
             &[1, 2, 4, 8, 16, 32],
@@ -214,16 +208,7 @@ mod tests {
             let mut s = String::from("sor_");
             a.write_tag(&mut s);
             assert_eq!(s, format!("sor_{}", a.tag()));
-            for b in &vs {
-                // The explore tie-break sorts by tag *string*; tag_cmp
-                // must preserve that byte order exactly (note "l16..."
-                // sorts before "l2...").
-                assert_eq!(a.tag_cmp(b), a.tag().cmp(&b.tag()));
-            }
         }
-        let l16 = Variant { lanes: 16, vect: 1, inner: InnerKind::Pipe, form: MemForm::B };
-        let l2 = Variant { lanes: 2, vect: 1, inner: InnerKind::Pipe, form: MemForm::B };
-        assert_eq!(l16.tag_cmp(&l2), std::cmp::Ordering::Less, "string order, not numeric");
     }
 
     #[test]

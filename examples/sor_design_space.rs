@@ -8,7 +8,7 @@
 //! ```
 
 use tytra::device::stratix_v_gsd8;
-use tytra::dse::{explore, report, select_best, tune, ExplorationConfig};
+use tytra::dse::{report, search, select_best, tune, ExplorationConfig, SearchConfig};
 use tytra::ir::MemForm;
 use tytra::kernels::Sor;
 use tytra::transform::Variant;
@@ -22,18 +22,21 @@ fn main() {
     let rows = report::lane_sweep(&sor, &dev, &[1, 2, 4, 8, 16, 32], &Variant::baseline());
     print!("{}", report::render_table(&rows));
 
-    // 2. Full exploration — every legal (lanes × vect × form) point.
-    let cfg = ExplorationConfig {
+    // 2. Full exploration — every legal (lanes × vect × form) point,
+    //    with a leaderboard as large as the space.
+    let space = ExplorationConfig {
         lanes: vec![1, 2, 4, 8, 16, 32],
         vects: vec![1, 2],
         forms: vec![MemForm::A, MemForm::B],
         ..ExplorationConfig::default()
     };
-    let evaluated = explore(&sor, &dev, &cfg);
-    println!("\n== top variants of {} evaluated ==", evaluated.len());
-    print!("{}", report::render_leaderboard(&evaluated, 8));
+    let top_k = space.lanes.len() * space.vects.len() * space.forms.len();
+    let outcome = search(&sor, &dev, &SearchConfig { top_k, ..SearchConfig::exhaustive(space) });
+    let evaluated = outcome.leaderboard.len() + outcome.invalid.len();
+    println!("\n== top variants of {evaluated} evaluated ==");
+    print!("{}", report::render_search_leaderboard(&outcome, 8));
 
-    let best = select_best(&evaluated).expect("something fits");
+    let best = select_best(&outcome.leaderboard).expect("something fits");
     println!(
         "\nselected: {} — EKIT {:.1}/s, {}",
         best.variant.tag(),

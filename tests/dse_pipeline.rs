@@ -3,8 +3,8 @@
 //! the virtual substrate (the decision the cost model made must survive
 //! contact with the simulator).
 
-use tytra::device::{eval_small, stratix_v_gsd8};
-use tytra::dse::{explore, select_best, tune, ExplorationConfig};
+use tytra::device::{eval_small, stratix_v_gsd8, TargetDevice};
+use tytra::dse::{search, select_best, tune, ExplorationConfig, SearchConfig, SearchOutcome};
 use tytra::ir::MemForm;
 use tytra::kernels::{EvalKernel, Hotspot, LavaMd, Sor};
 use tytra::sim::run_application;
@@ -19,6 +19,14 @@ fn cfg() -> ExplorationConfig {
     }
 }
 
+/// Cost every legal point of [`cfg`]: an exhaustive search whose
+/// leaderboard is as large as the space, so it holds every valid variant.
+fn cost_every_variant(kernel: &dyn EvalKernel, dev: &TargetDevice) -> SearchOutcome {
+    let space = cfg();
+    let top_k = space.lanes.len() * space.vects.len() * space.forms.len();
+    search(kernel, dev, &SearchConfig { top_k, ..SearchConfig::exhaustive(space) })
+}
+
 #[test]
 fn cost_model_choice_wins_on_the_simulator_too() {
     // The whole point of a fast cost model: its ranking must agree with
@@ -26,7 +34,7 @@ fn cost_model_choice_wins_on_the_simulator_too() {
     // baseline).
     let sor = Sor::cubic(48, 100);
     let dev = stratix_v_gsd8();
-    let evaluated = explore(&sor, &dev, &cfg());
+    let evaluated = cost_every_variant(&sor, &dev).leaderboard;
     let best = select_best(&evaluated).expect("fits");
     let baseline =
         evaluated.iter().find(|e| e.variant == Variant::baseline()).expect("baseline evaluated");
@@ -51,7 +59,7 @@ fn exploration_covers_every_kernel() {
         Box::new(LavaMd { n_particles: 16_384, nki: 10 }),
     ];
     for k in &kernels {
-        let evaluated = explore(k.as_ref(), &dev, &cfg());
+        let evaluated = cost_every_variant(k.as_ref(), &dev).leaderboard;
         assert!(!evaluated.is_empty(), "{}", k.name());
         let best = select_best(&evaluated).unwrap_or_else(|| panic!("{} has no fit", k.name()));
         assert!(best.report.fits);
@@ -65,7 +73,7 @@ fn exploration_covers_every_kernel() {
 fn tuner_and_explorer_agree_on_the_winning_region() {
     let sor = Sor::cubic(48, 100);
     let dev = stratix_v_gsd8();
-    let evaluated = explore(&sor, &dev, &cfg());
+    let evaluated = cost_every_variant(&sor, &dev).leaderboard;
     let best = select_best(&evaluated).expect("fits");
     let steps = tune(&sor, &dev, Variant::baseline(), 12);
     let tuned = steps.last().expect("at least one step");
@@ -84,10 +92,10 @@ fn tuner_and_explorer_agree_on_the_winning_region() {
 fn resource_walls_invalidate_big_variants_on_small_devices() {
     let sor = Sor::cubic(48, 10);
     let dev = eval_small();
-    let evaluated = explore(&sor, &dev, &cfg());
-    let invalid: Vec<_> = evaluated.iter().filter(|e| !e.is_valid()).collect();
-    assert!(!invalid.is_empty(), "8 SOR lanes must blow the eval target");
+    let outcome = cost_every_variant(&sor, &dev);
+    assert!(!outcome.invalid.is_empty(), "8 SOR lanes must blow the eval target");
+    assert!(outcome.invalid.iter().any(|iv| iv.variant.lanes == 8));
     // And the selection never picks one.
-    let best = select_best(&evaluated).expect("some variant fits");
+    let best = select_best(&outcome.leaderboard).expect("some variant fits");
     assert!(best.is_valid());
 }
