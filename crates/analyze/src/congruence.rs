@@ -102,23 +102,23 @@ mod tests {
     const T: ScalarType = ScalarType::UInt(18);
 
     fn build(name: &str, form: MemForm, nki: u64) -> IrModule {
-        let mut b = ModuleBuilder::new(name);
-        b.global_input("p", T, 4096);
-        b.global_output("q", T, 4096);
+        let mut mb = ModuleBuilder::new(name);
+        mb.global_input("p", T, 4096);
+        mb.global_output("q", T, 4096);
         {
-            let f = b.function("f0", ParKind::Pipe);
+            let f = mb.function("f0", ParKind::Pipe);
             f.input("p", T);
             f.output("q", T);
-            let a = f.offset("p", T, 1);
-            let c = f.offset("p", T, -1);
-            let s = f.instr(Opcode::Add, T, vec![a, c]);
-            f.write_out("q", s);
+            let up = f.offset("p", T, 1);
+            let down = f.offset("p", T, -1);
+            let sum = f.instr(Opcode::Add, T, vec![up, down]);
+            f.write_out("q", sum);
         }
-        b.main_calls("f0");
-        b.ndrange(&[4096]);
-        b.nki(nki);
-        b.form(form);
-        b.finish_unchecked()
+        mb.main_calls("f0");
+        mb.ndrange(&[4096]);
+        mb.nki(nki);
+        mb.form(form);
+        mb.finish_unchecked()
     }
 
     #[test]

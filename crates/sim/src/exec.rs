@@ -500,8 +500,9 @@ mod tests {
         inp.set("x", (0..16).map(f64::from).collect());
         let out = execute_module(&m, &inp, 16).unwrap();
         let y = &out.arrays["y"];
-        for i in 0..16 {
-            assert_eq!(y[i], (2 * i) as f64);
+        assert_eq!(y.len(), 16);
+        for (i, v) in y.iter().enumerate() {
+            assert_eq!(*v, (2 * i) as f64);
         }
     }
 

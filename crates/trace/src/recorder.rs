@@ -21,7 +21,10 @@
 //! odd/even sequence, and a reader that observes an odd or changed
 //! sequence discards the slot. A torn record is therefore impossible
 //! by construction; at worst a dump misses the slot being overwritten
-//! at that instant.
+//! at that instant. The writer advances the lane cursor before it
+//! closes a slot's sequence, and a dump reads the cursor after its
+//! snapshot, so every recovered event's `order` is below the dump's
+//! `written` count.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
@@ -140,8 +143,11 @@ impl Lane {
         for (w, v) in slot.name.iter().zip(words) {
             w.store(v, Ordering::Relaxed);
         }
-        slot.seq.store((seq0 | 1).wrapping_add(1), Ordering::Release);
+        // Advance the cursor before the closing `seq` store: a reader
+        // whose Acquire load of `seq` sees this record then also sees
+        // `cursor > order` (dumps read `cursor` after the snapshot).
         self.cursor.store(cur + 1, Ordering::Release);
+        slot.seq.store((seq0 | 1).wrapping_add(1), Ordering::Release);
     }
 
     fn read_slot(&self, index: usize) -> Option<FlightEvent> {
@@ -178,6 +184,18 @@ impl Lane {
             (0..RING_CAPACITY).filter_map(|i| self.read_slot(i)).collect();
         events.sort_by_key(|e| e.order);
         events
+    }
+
+    /// Snapshot, then read `cursor`: every recovered event's `order`
+    /// is below the `written` count this returns (see [`Lane::write`]).
+    fn dump(&self, labels: &[(u64, String)]) -> LaneDump {
+        let events = self.snapshot();
+        LaneDump {
+            tid: self.tid,
+            label: labels.iter().find(|(t, _)| *t == self.tid).map(|(_, l)| l.clone()),
+            written: self.cursor.load(Ordering::Acquire),
+            events,
+        }
     }
 }
 
@@ -279,28 +297,14 @@ pub fn dump() -> Vec<LaneDump> {
         Err(_) => return Vec::new(),
     };
     let labels = crate::thread_labels();
-    lanes
-        .iter()
-        .map(|lane| LaneDump {
-            tid: lane.tid,
-            label: labels.iter().find(|(t, _)| *t == lane.tid).map(|(_, l)| l.clone()),
-            written: lane.cursor.load(Ordering::Acquire),
-            events: lane.snapshot(),
-        })
-        .collect()
+    lanes.iter().map(|lane| lane.dump(&labels)).collect()
 }
 
 /// [`dump`], restricted to the calling thread's lane. `None` if this
 /// thread never recorded anything.
 pub fn dump_current_thread() -> Option<LaneDump> {
     let lane = MY_LANE.try_with(|cell| cell.borrow().clone()).ok().flatten()?;
-    let labels = crate::thread_labels();
-    Some(LaneDump {
-        tid: lane.tid,
-        label: labels.iter().find(|(t, _)| *t == lane.tid).map(|(_, l)| l.clone()),
-        written: lane.cursor.load(Ordering::Acquire),
-        events: lane.snapshot(),
-    })
+    Some(lane.dump(&crate::thread_labels()))
 }
 
 /// Render lane dumps as the post-mortem text format: one header line
