@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use tytra_ir::{IrModule, PortDir, SrcLoc, StreamDir};
+use tytra_ir::{IrModule, ManageIndex, PortDir, SrcLoc, StreamDir};
 
 use crate::solver::{reachable, solve, SolverStats};
 
@@ -90,8 +90,9 @@ pub fn analyze_deadlock(m: &IrModule) -> DeadlockAnalysis {
                 succs[from].push(to);
             }
         };
+    let idx = m.manage_index();
     for p in &m.ports {
-        let Some(stream) = m.stream(&p.stream) else { continue };
+        let Some(stream) = idx.stream(&p.stream) else { continue };
         let Some(&mem) = mem_index.get(stream.mem.as_str()) else { continue };
         let short = p.arg_name();
         for f in m.functions.iter().filter(|f| live.contains(&f.name)) {
@@ -135,11 +136,13 @@ pub fn analyze_deadlock(m: &IrModule) -> DeadlockAnalysis {
             }
             // Does f write mem (via an ostream port bound to one of its
             // output params)?
-            let Some(out_param) = write_param(m, f.name.as_str(), &mem.name) else { continue };
+            let Some(out_param) = write_param(m, &idx, f.name.as_str(), &mem.name) else {
+                continue;
+            };
             // Through which input does mem enter f? Prefer the direct
             // port binding; a loop through intermediaries reports the
             // first input parameter on the path's last hop.
-            let in_param = read_param(m, f.name.as_str(), &mem.name)
+            let in_param = read_param(m, &idx, f.name.as_str(), &mem.name)
                 .or_else(|| f.params.iter().find(|p| p.dir == PortDir::In).map(|p| p.name.clone()))
                 .unwrap_or_default();
             let window = f.offset_sources().iter().find(|s| **s == in_param).map_or((0, 0), |s| {
@@ -167,13 +170,13 @@ pub fn analyze_deadlock(m: &IrModule) -> DeadlockAnalysis {
 
 /// The output parameter of `func` that an ostream port routes to `mem`,
 /// if any.
-fn write_param(m: &IrModule, func: &str, mem: &str) -> Option<String> {
+fn write_param(m: &IrModule, idx: &ManageIndex<'_>, func: &str, mem: &str) -> Option<String> {
     let f = m.function(func)?;
     for p in &m.ports {
         if p.dir != StreamDir::Write {
             continue;
         }
-        let Some(s) = m.stream(&p.stream) else { continue };
+        let Some(s) = idx.stream(&p.stream) else { continue };
         if s.mem != mem {
             continue;
         }
@@ -188,13 +191,13 @@ fn write_param(m: &IrModule, func: &str, mem: &str) -> Option<String> {
 
 /// The input parameter of `func` that an istream port feeds from `mem`,
 /// if any.
-fn read_param(m: &IrModule, func: &str, mem: &str) -> Option<String> {
+fn read_param(m: &IrModule, idx: &ManageIndex<'_>, func: &str, mem: &str) -> Option<String> {
     let f = m.function(func)?;
     for p in &m.ports {
         if p.dir != StreamDir::Read {
             continue;
         }
-        let Some(s) = m.stream(&p.stream) else { continue };
+        let Some(s) = idx.stream(&p.stream) else { continue };
         if s.mem != mem {
             continue;
         }

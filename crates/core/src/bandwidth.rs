@@ -95,8 +95,9 @@ pub(crate) fn assess_impl(
     // Slowest per-element rate across co-required streams, items/s.
     let mut min_item_rate = f64::INFINITY;
     let mut bytes_per_item_all_lanes = 0.0f64;
+    let idx = m.manage_index();
     for s in &m.streams {
-        let Some(mem) = m.mem(&s.mem) else { continue };
+        let Some(mem) = idx.mem(&s.mem) else { continue };
         if !mem.space.is_offchip() {
             continue;
         }
@@ -134,7 +135,7 @@ pub(crate) fn assess_impl(
     let total_elems: u64 = m
         .streams
         .iter()
-        .filter_map(|s| m.mem(&s.mem))
+        .filter_map(|s| idx.mem(&s.mem))
         .filter(|mem| mem.space.is_offchip())
         .map(|mem| mem.len)
         .sum();

@@ -129,13 +129,9 @@ impl RawGeometry {
                 local_bytes += mem.bytes();
             }
         }
+        let idx = m.manage_index();
         for p in &m.ports {
-            let offchip = m
-                .stream(&p.stream)
-                .and_then(|s| m.mem(&s.mem))
-                .map(|mem| mem.space.is_offchip())
-                .unwrap_or(true);
-            if offchip {
+            if idx.port_offchip(p) {
                 n_streams += 1;
                 offchip_ports += 1;
                 bytes += u64::from(p.ty.bytes());

@@ -256,14 +256,10 @@ fn estimate_resources_impl(
     }
 
     // Module-level: stream control per off-chip stream.
+    let idx = m.manage_index();
     if opts.structural_resources {
         for p in &m.ports {
-            let offchip = m
-                .stream(&p.stream)
-                .and_then(|s| m.mem(&s.mem))
-                .map(|mem| mem.space.is_offchip())
-                .unwrap_or(true);
-            if offchip {
+            if idx.port_offchip(p) {
                 acc.control += ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0);
             }
         }
@@ -282,16 +278,7 @@ fn estimate_resources_impl(
     let mut lane_acc = ResourceBreakdown::default();
     walk.node_cost(lane, &mut lane_acc)?;
     let lanes = if tree.kind == ParKind::Par { tree.children.len() as u64 } else { 1 };
-    let offchip_streams = m
-        .ports
-        .iter()
-        .filter(|p| {
-            m.stream(&p.stream)
-                .and_then(|s| m.mem(&s.mem))
-                .map(|mem| mem.space.is_offchip())
-                .unwrap_or(true)
-        })
-        .count() as u64;
+    let offchip_streams = m.ports.iter().filter(|p| idx.port_offchip(p)).count() as u64;
     let ctrl_per_lane = offchip_streams.div_ceil(lanes.max(1));
     let per_lane = lane_acc.total()
         + ResourceVector::new(STREAM_CTRL_ALUTS, STREAM_CTRL_REGS, 0, 0) * ctrl_per_lane;

@@ -387,15 +387,11 @@ impl ArenaModule {
             a.stream_dir.push(s.dir);
             a.stream_pattern.push(s.pattern);
         }
+        let idx = a.tree.manage_index();
         for p in &a.tree.ports {
             a.port_name.push(symbols.intern(&p.name));
             a.port_ty.push(p.ty);
-            let offchip = a
-                .tree
-                .stream(&p.stream)
-                .and_then(|s| a.tree.mem(&s.mem))
-                .map(|mem| mem.space.is_offchip())
-                .unwrap_or(true);
+            let offchip = idx.port_offchip(p);
             a.port_offchip.push(offchip);
             if offchip {
                 a.offchip_ports += 1;

@@ -62,13 +62,41 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 fn fnv(s: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    use std::hash::Hasher;
+    let mut h = FnvHasher::default();
+    h.write(s.as_bytes());
+    h.finish()
 }
+
+/// FNV-1a as a [`Hasher`](std::hash::Hasher): the interner's index hash,
+/// also used for the crate's process-local name maps and sets, whose
+/// keys are short identifiers where SipHash's per-key setup dominates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> FnvHasher {
+        FnvHasher(FNV_OFFSET)
+    }
+}
+
+impl std::hash::Hasher for FnvHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`FnvHasher`]s for `HashMap`/`HashSet`.
+pub(crate) type FnvBuildHasher = std::hash::BuildHasherDefault<FnvHasher>;
 
 impl Default for SymbolTable {
     fn default() -> SymbolTable {

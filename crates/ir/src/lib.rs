@@ -24,7 +24,8 @@
 //! and 14); [`parse()`][parser::parse] and [`print()`][printer::print] round-trip it. The [`builder`] module
 //! offers a programmatic API. [`config_tree`] extracts the architecture
 //! implied by the function hierarchy (Fig 8) and classifies it against the
-//! design-space abstraction of Fig 5. [`dfg`] builds the dataflow graph that
+//! design-space abstraction of Fig 5. [`manage`] resolves ports, streams and
+//! memory objects by name in linear time. [`dfg`] builds the dataflow graph that
 //! the cost model schedules and the simulator executes. [`fingerprint`]
 //! computes the stable, span-transparent structural hashes under which the
 //! session-based cost estimator memoizes per-function sub-results.
@@ -39,6 +40,7 @@ pub mod fingerprint;
 pub mod function;
 pub mod instr;
 pub mod intern;
+pub mod manage;
 pub mod module;
 pub mod parser;
 pub mod printer;
@@ -62,6 +64,7 @@ pub use fingerprint::{
 pub use function::{Call, IrFunction, OffsetDecl, ParKind, Param, PortDir, Stmt};
 pub use instr::{Dest, Instruction, Opcode, Operand};
 pub use intern::{Symbol, SymbolTable};
+pub use manage::ManageIndex;
 pub use module::{ExecMeta, IrModule, MemForm};
 pub use parser::{parse, parse_unvalidated};
 pub use printer::print;

@@ -51,6 +51,7 @@ use crate::diag::{DiagSink, Diagnostic, SrcLoc};
 use crate::error::{IrError, Result};
 use crate::function::{IrFunction, ParKind, Stmt};
 use crate::instr::Operand;
+use crate::intern::FnvBuildHasher;
 use crate::module::IrModule;
 use std::collections::{HashMap, HashSet};
 
@@ -106,8 +107,12 @@ impl Ctx<'_> {
     }
 }
 
-fn dup_check<'a, I: Iterator<Item = (&'a str, SrcLoc)>>(what: &str, names: I, ctx: &mut Ctx<'_>) {
-    let mut seen = HashSet::new();
+fn dup_check<'a, I: ExactSizeIterator<Item = (&'a str, SrcLoc)>>(
+    what: &str,
+    names: I,
+    ctx: &mut Ctx<'_>,
+) {
+    let mut seen = HashSet::with_capacity_and_hasher(names.len(), FnvBuildHasher::default());
     for (n, loc) in names {
         if !seen.insert(n) {
             ctx.invalid("TL0001", loc, format!("duplicate {what} name `{n}`"));
@@ -123,13 +128,14 @@ fn check_unique_names(m: &IrModule, ctx: &mut Ctx<'_>) {
 }
 
 fn check_manage_ir(m: &IrModule, ctx: &mut Ctx<'_>) {
+    let idx = m.manage_index();
     for s in &m.streams {
-        if m.mem(&s.mem).is_none() {
+        if idx.mem(&s.mem).is_none() {
             ctx.unknown(s.span, "memory object", &s.mem);
         }
     }
     for p in &m.ports {
-        let Some(s) = m.stream(&p.stream) else {
+        let Some(s) = idx.stream(&p.stream) else {
             ctx.unknown(p.span, "stream object", &p.stream);
             continue;
         };
@@ -140,7 +146,7 @@ fn check_manage_ir(m: &IrModule, ctx: &mut Ctx<'_>) {
                 format!("port `{}` direction disagrees with stream `{}`", p.name, s.name),
             );
         }
-        let Some(mem) = m.mem(&s.mem) else {
+        let Some(mem) = idx.mem(&s.mem) else {
             continue; // dangling stream already reported above
         };
         if mem.elem_ty != p.ty {

@@ -171,6 +171,13 @@ pub fn set_thread_label(label: &str) {
     }
 }
 
+/// Drop a thread's label (its flight-recorder lane was evicted).
+fn forget_thread_label(tid: u64) {
+    if let Ok(mut labels) = LABELS.lock() {
+        labels.retain(|(t, _)| *t != tid);
+    }
+}
+
 /// The thread labels registered so far, in registration order.
 pub fn thread_labels() -> Vec<(u64, String)> {
     LABELS.lock().map(|l| l.clone()).unwrap_or_default()

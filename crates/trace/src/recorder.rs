@@ -8,7 +8,9 @@
 //! (off by default, drained post-hoc), the recorder is **on by
 //! default** and never drained: it always holds the last-N events per
 //! thread, so a panic, a `dse.fault` or a fuzz crash can [`dump`] the
-//! immediate history of every lane post-mortem.
+//! immediate history of every lane post-mortem. A lane outlives its
+//! thread: on exit it retires, and the newest [`RETIRED_LANES`] retired
+//! lanes stay dumpable beside every live one.
 //!
 //! Records are deliberately lossy where the span collector is exact:
 //! names are truncated to [`NAME_BYTES`] bytes and there are no
@@ -26,6 +28,7 @@
 //! snapshot, so every recovered event's `order` is below the dump's
 //! `written` count.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
 
@@ -42,12 +45,50 @@ const NAME_WORDS: usize = NAME_BYTES / 8;
 /// hatch, not for normal operation.
 static RECORDER_ON: AtomicBool = AtomicBool::new(true);
 
-/// Every lane ever registered (threads never unregister: a dead
-/// thread's last events are exactly what a post-mortem wants).
-static LANES: Mutex<Vec<Arc<Lane>>> = Mutex::new(Vec::new());
+/// Retired lanes (of exited threads) kept for post-mortems. A dead
+/// thread's last events are exactly what a post-mortem wants, but a
+/// process that spawns threads per request or per search must not keep
+/// one ring per thread it ever ran.
+pub const RETIRED_LANES: usize = 64;
+
+/// The live lanes plus the last [`RETIRED_LANES`] retired ones.
+static LANES: Mutex<Registry> =
+    Mutex::new(Registry { lanes: Vec::new(), retired: VecDeque::new() });
+
+struct Registry {
+    /// Every retained lane, in registration order.
+    lanes: Vec<Arc<Lane>>,
+    /// Thread ids of retired lanes, oldest first.
+    retired: VecDeque<u64>,
+}
+
+impl Registry {
+    /// A thread exited: keep its lane as retired, and drop the oldest
+    /// retired lane (and its thread label) beyond the cap.
+    fn retire(&mut self, tid: u64) {
+        self.retired.push_back(tid);
+        while self.retired.len() > RETIRED_LANES {
+            let Some(old) = self.retired.pop_front() else { break };
+            self.lanes.retain(|l| l.tid != old);
+            crate::forget_thread_label(old);
+        }
+    }
+}
+
+/// The calling thread's lane; retires it from [`LANES`] when the
+/// thread exits (thread-local destructor).
+struct LaneHandle(Arc<Lane>);
+
+impl Drop for LaneHandle {
+    fn drop(&mut self) {
+        if let Ok(mut reg) = LANES.lock() {
+            reg.retire(self.0.tid);
+        }
+    }
+}
 
 thread_local! {
-    static MY_LANE: std::cell::RefCell<Option<Arc<Lane>>> =
+    static MY_LANE: std::cell::RefCell<Option<LaneHandle>> =
         const { std::cell::RefCell::new(None) };
 }
 
@@ -236,12 +277,12 @@ fn lane_for_current_thread() -> Option<Arc<Lane>> {
                     cursor: AtomicU64::new(0),
                     slots: (0..RING_CAPACITY).map(|_| Slot::empty()).collect(),
                 });
-                if let Ok(mut lanes) = LANES.lock() {
-                    lanes.push(Arc::clone(&lane));
+                if let Ok(mut reg) = LANES.lock() {
+                    reg.lanes.push(Arc::clone(&lane));
                 }
-                *slot = Some(lane);
+                *slot = Some(LaneHandle(lane));
             }
-            slot.clone()
+            slot.as_ref().map(|h| Arc::clone(&h.0))
         })
         .ok()
         .flatten()
@@ -293,7 +334,7 @@ pub fn enabled() -> bool {
 /// write: slots caught mid-update are skipped, never torn.
 pub fn dump() -> Vec<LaneDump> {
     let lanes: Vec<Arc<Lane>> = match LANES.lock() {
-        Ok(l) => l.iter().cloned().collect(),
+        Ok(reg) => reg.lanes.clone(),
         Err(_) => return Vec::new(),
     };
     let labels = crate::thread_labels();
@@ -303,7 +344,8 @@ pub fn dump() -> Vec<LaneDump> {
 /// [`dump`], restricted to the calling thread's lane. `None` if this
 /// thread never recorded anything.
 pub fn dump_current_thread() -> Option<LaneDump> {
-    let lane = MY_LANE.try_with(|cell| cell.borrow().clone()).ok().flatten()?;
+    let lane =
+        MY_LANE.try_with(|cell| cell.borrow().as_ref().map(|h| Arc::clone(&h.0))).ok().flatten()?;
     Some(lane.dump(&crate::thread_labels()))
 }
 

@@ -18,11 +18,15 @@
 //!
 //! The factory is `Sync`: DSE workers request designs concurrently and
 //! the first worker to touch a structural class lowers it for everyone.
+//! The factory-wide lock only finds or inserts a class's cell; the
+//! lowering and arena build run under that cell's own lock, so only
+//! requests for the class being built wait on it.
 
 use crate::expr::KernelDef;
 use crate::lower::{lower, Geometry};
 use crate::typetrans::{InnerKind, Variant};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tytra_ir::{ArenaModule, IrError, MemForm, PatchedModule};
 
@@ -69,13 +73,27 @@ impl VariantDesign {
 pub struct VariantFactory {
     kernel: KernelDef,
     geom: Geometry,
-    bases: Mutex<HashMap<(u64, InnerKind, bool), Arc<ArenaModule>>>,
+    bases: Mutex<HashMap<ClassKey, Arc<BaseCell>>>,
+    built: AtomicUsize,
 }
+
+/// A structural class: `(lanes, inner map kind, is Form C)`.
+type ClassKey = (u64, InnerKind, bool);
+
+/// One class's base, built by the first requester that lowers it
+/// successfully (a failed lowering leaves the cell empty, so the next
+/// request for the class retries).
+type BaseCell = Mutex<Option<Arc<ArenaModule>>>;
 
 impl VariantFactory {
     /// A factory for one kernel + workload geometry.
     pub fn new(kernel: KernelDef, geom: Geometry) -> VariantFactory {
-        VariantFactory { kernel, geom, bases: Mutex::new(HashMap::new()) }
+        VariantFactory {
+            kernel,
+            geom,
+            bases: Mutex::new(HashMap::new()),
+            built: AtomicUsize::new(0),
+        }
     }
 
     /// The kernel definition the factory lowers.
@@ -90,7 +108,7 @@ impl VariantFactory {
 
     /// Number of structural classes lowered so far.
     pub fn bases_built(&self) -> usize {
-        self.bases.lock().map(|b| b.len()).unwrap_or(0)
+        self.built.load(Ordering::Acquire)
     }
 
     /// The design for `variant`: lowers the variant's structural class on
@@ -106,14 +124,15 @@ impl VariantFactory {
             )));
         }
         let key = (variant.lanes, variant.inner, matches!(variant.form, MemForm::C));
+        let cell = Arc::clone(self.bases.lock().expect("factory lock").entry(key).or_default());
         let base = {
-            let mut bases = self.bases.lock().expect("factory lock");
-            match bases.get(&key) {
+            let mut slot = cell.lock().expect("factory class lock");
+            match &*slot {
                 Some(b) => Arc::clone(b),
                 None => {
-                    let m = lower(&self.kernel, &self.geom, variant)?;
-                    let a = Arc::new(ArenaModule::build(m));
-                    bases.insert(key, Arc::clone(&a));
+                    let a = Arc::new(ArenaModule::build(lower(&self.kernel, &self.geom, variant)?));
+                    *slot = Some(Arc::clone(&a));
+                    self.built.fetch_add(1, Ordering::Release);
                     a
                 }
             }
@@ -131,6 +150,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::typetrans::enumerate_variants;
+    use std::collections::HashSet;
     use tytra_ir::{fingerprint_module, ScalarType};
 
     const T: ScalarType = ScalarType::UInt(18);
@@ -185,6 +205,54 @@ mod tests {
         factory.design(&Variant { form: MemForm::C, ..b }).unwrap();
         factory.design(&Variant { lanes: 4, ..b }).unwrap();
         assert_eq!(factory.bases_built(), 3);
+    }
+
+    #[test]
+    fn concurrent_designs_build_each_class_exactly_once() {
+        // Threads race over the whole space, each starting at a different
+        // offset, so different classes are built concurrently while other
+        // threads wait on (or hit) the same class.
+        const THREADS: usize = 4;
+        let geom = Geometry::flat(1 << 10, 10);
+        let factory = VariantFactory::new(stencil_kernel(), geom.clone());
+        let variants = enumerate_variants(
+            geom.size(),
+            &[1, 2, 4, 8, 16],
+            &[1, 2, 4],
+            &[MemForm::A, MemForm::B, MemForm::C, MemForm::Tiled { tiles: 4 }],
+        );
+        let classes: HashSet<_> =
+            variants.iter().map(|v| (v.lanes, v.inner, v.form == MemForm::C)).collect();
+        let start = std::sync::Barrier::new(THREADS);
+        let designs: Vec<Vec<(Variant, VariantDesign)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (factory, variants, start) = (&factory, &variants, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let n = variants.len();
+                        (0..n)
+                            .map(|i| variants[(i + t * n / THREADS) % n])
+                            .map(|v| (v, factory.design(&v).unwrap()))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(factory.bases_built(), classes.len());
+        // One shared base per class, whichever thread built it, and every
+        // design still equals a direct lowering.
+        let mut base_of = HashMap::new();
+        for (v, d) in designs.iter().flatten() {
+            let key = (v.lanes, v.inner, v.form == MemForm::C);
+            let base = *base_of.entry(key).or_insert(d.arena() as *const ArenaModule);
+            assert!(std::ptr::eq(base, d.arena()), "{}", v.tag());
+        }
+        for (v, d) in &designs[0] {
+            let direct = lower(&stencil_kernel(), &geom, v).unwrap();
+            assert_eq!(d.patched().fingerprint(), fingerprint_module(&direct), "{}", v.tag());
+        }
     }
 
     #[test]
